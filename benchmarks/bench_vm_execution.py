@@ -17,11 +17,7 @@ the kernel-in-the-loop decode workload (asserting the >= 1.3x target and
 bit-exactness), the profile-guided graph-optimization speedup on a
 skewed-cost 8-stream workload (measured-cost LPT placement + dead-node
 elimination vs the capture-time heuristic, asserting the >= 1.2x target
-and bit-exactness vs the serial oracle), the adaptive runtime's
-cold -> warmup -> converged serving loop (the policy swaps the live
-graph automatically after its warmup window — no explicit reoptimize
-call — asserting the >= 1.15x converged-over-cold target and
-bit-exactness vs the serial oracle), the multi-process sharded-serving
+and bit-exactness vs the serial oracle), the multi-process sharded-serving
 stack (4 spawned worker processes behind the router's admission + SLO
 scheduling serving an open-loop Poisson burst — asserting the >= 2.5x
 simulated-throughput target over the single-process simulator,
@@ -29,14 +25,9 @@ bit-exact output digests vs the serial oracle, and the p50/p99 latency
 gates), the tiered JIT (the pass-pipeline-lowered compiled kernel vs
 the batched engine on the quantized-matmul template family — asserting
 the >= 3x target and bit-exactness, with the one-time lowering cost
-reported), the persistent tuning store's warm boot (a fresh device
-image starting from the store's published profile + placement must
-reach converged throughput with zero adaptive swaps, >= 1.3x faster
-time-to-converged than a cold start, bit-exact vs the serial oracle),
-and reports the specialization cache hit rate of a repeated-launch
-scenario.  ``--section
-engine|streams|graphs|pgo|adaptive|coldstart|serving|jit|obs|all``
-selects which quick checks run (the CI matrix runs them as separate
+reported), and reports the specialization cache hit rate of a
+repeated-launch scenario.  ``--section
+engine|streams|graphs|pgo|serving|jit|obs|all`` selects which quick checks run (the CI matrix runs them as separate
 jobs); an unknown section is rejected with the list of valid ones.
 """
 
@@ -531,266 +522,6 @@ def pgo_report(min_speedup: float = 1.2) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive runtime: cold -> warmup -> converged serving loop
-# ---------------------------------------------------------------------------
-
-#: Profiled replays per adaptive-policy window.  The cold phase is
-#: exactly one window: its last replay triggers the automatic swap, so
-#: every converged-phase replay runs the optimized image.
-ADAPTIVE_WARMUP = 4
-
-
-def adaptive_report(min_speedup: float = 1.15) -> dict:
-    """Measure the adaptive runtime's converged-over-cold throughput.
-
-    The skewed-cost PGO workload is captured with the heuristic
-    placement (heavies piled on one stream, dead scratch writers kept)
-    and put under an :class:`~repro.runtime.AdaptivePolicy` — *nothing*
-    ever calls ``optimize``/``reoptimize`` explicitly.  The serving loop
-    then replays it: the **cold** window runs the heuristic image while
-    the policy accumulates its profile; at the window boundary the
-    policy atomically swaps in the profile-optimized image (heavies
-    spread by measured-cost LPT, dead nodes eliminated), and the
-    **converged** phase replays that.  Asserts exactly one automatic
-    swap, the >= ``min_speedup`` converged-over-cold throughput target,
-    and bit-exactness of the converged outputs against the serial
-    oracle.
-    """
-    from repro.runtime import AdaptivePolicy
-
-    (rows, cols), host, launches, dead = _pgo_workload()
-    pool = StreamPool(host.memory, num_streams=PGO_STREAMS)
-    try:
-        with pool.capture() as graph:
-            for program, a, out, _ in launches:
-                pool.submit(program, [a, out], engine="batched")
-            for program, a, scratch in dead:
-                pool.submit(program, [a, scratch], engine="batched")
-        out_bytes = rows * cols * 2
-        for i, (_, _, out, _) in enumerate(launches):
-            graph.bind(f"out{i}", out, out_bytes)
-
-        # Serial oracle first (the kernels are out = f(a), so replays
-        # are idempotent and the reference stays valid throughout).
-        graph.replay(serial=True)
-        want = [host.download(out, [rows, cols], float16) for _, _, out, _ in launches]
-
-        # min_gain well above the ~10% window-to-window measurement noise
-        # of 4-replay windows, far below the ~60% real skew gain: the
-        # first (unconditional) swap captures the skew, hysteresis holds
-        # through the noisy steady state.
-        policy = AdaptivePolicy(warmup_replays=ADAPTIVE_WARMUP, min_gain=0.30)
-        managed = policy.manage(graph)
-        pool.profiler = Profile()
-
-        # Cold: one full warmup window on the heuristic image.  The
-        # window's last replay pays the evaluation + swap as well —
-        # honest cold-phase accounting.
-        start = time.perf_counter()
-        for _ in range(ADAPTIVE_WARMUP):
-            managed.replay()
-        t_cold = (time.perf_counter() - start) / ADAPTIVE_WARMUP
-        assert policy.swaps == 1, (
-            f"expected exactly one automatic swap after the warmup window, "
-            f"got {policy.swaps}"
-        )
-        assert managed.live.num_nodes == PGO_LIVE, (
-            f"swap kept {managed.live.num_nodes} nodes, expected the "
-            f"{PGO_LIVE} live ones"
-        )
-
-        # Converged: two more windows on the auto-swapped image (steady
-        # costs: re-evaluations fire, further swaps must not).
-        steps = 2 * ADAPTIVE_WARMUP
-        start = time.perf_counter()
-        for _ in range(steps):
-            managed.replay()
-        t_converged = (time.perf_counter() - start) / steps
-        pool.synchronize()
-        assert policy.swaps == 1, (
-            f"steady costs re-swapped the graph ({policy.swaps} swaps): "
-            "hysteresis failed"
-        )
-
-        got = [host.download(out, [rows, cols], float16) for _, _, out, _ in launches]
-        for w, g in zip(want, got):
-            assert np.array_equal(g, w), "adaptive replay diverges from serial oracle"
-    finally:
-        pool.shutdown()
-    speedup = t_cold / t_converged
-    report = {
-        "cold_ms": t_cold * 1e3,
-        "converged_ms": t_converged * 1e3,
-        "adaptive_speedup": speedup,
-        "auto_swaps": policy.swaps,
-        "evaluations": policy.evaluations,
-    }
-    print(
-        f"adaptive serving loop ({graph.num_nodes}-node skewed DAG, "
-        f"{PGO_STREAMS} streams, warmup {ADAPTIVE_WARMUP}): cold "
-        f"{report['cold_ms']:.2f} ms/step, converged "
-        f"{report['converged_ms']:.2f} ms/step -> {speedup:.1f}x "
-        f"converged-over-cold (bit-exact, {policy.swaps} automatic swap, "
-        f"{policy.evaluations} evaluations, no explicit reoptimize call)"
-    )
-    assert speedup >= min_speedup, (
-        f"adaptive converged-over-cold speedup {speedup:.2f}x below the "
-        f"{min_speedup:.2f}x target"
-    )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Warm-store boot vs cold start: the persistent tuning store's payoff
-# ---------------------------------------------------------------------------
-
-
-def coldstart_report(min_speedup: float = 1.3) -> dict:
-    """Measure warm-store startup against a cold start.
-
-    The **cold** process is the adaptive serving loop's warmup story on
-    the skewed PGO workload: heuristic capture (heavies piled on one
-    stream, dead scratch writers kept), a full
-    :class:`~repro.runtime.AdaptivePolicy` warmup window on that image,
-    and the automatic swap at the window boundary — its
-    time-to-converged is the whole window.  The cold process then
-    publishes its recorded profile and live placement to an on-disk
-    :class:`~repro.store.TuningStore`, exactly as a serving worker does
-    on shutdown.
-
-    The **warm** process is a fresh device image (identical uploads —
-    the respawned-worker model) booting *from the store*: the loaded
-    profile optimizes the capture at boot (measured-cost LPT placement,
-    dead-node elimination — convergence paid for once, by the cold
-    process), the stored placement re-applies when it validates, and
-    the graph runs under ``manage(warm=True)``.  Its
-    first window must already be converged: **zero adaptive swaps**,
-    >= ``min_speedup`` faster than the cold window, and bit-exact
-    against the serial oracle.  The report carries the store's
-    hit/miss/publish counters.
-    """
-    import tempfile
-
-    from repro.runtime import AdaptivePolicy
-    from repro.store import TuningStore
-
-    with tempfile.TemporaryDirectory() as root:
-        store = TuningStore(root)
-
-        # -- cold process: heuristic capture, warmup window, swap -----------
-        (rows, cols), host, launches, dead = _pgo_workload()
-        pool = StreamPool(host.memory, num_streams=PGO_STREAMS)
-        try:
-            with pool.capture() as graph:
-                for program, a, out, _ in launches:
-                    pool.submit(program, [a, out], engine="batched")
-                for program, a, scratch in dead:
-                    pool.submit(program, [a, scratch], engine="batched")
-            out_bytes = rows * cols * 2
-            for i, (_, _, out, _) in enumerate(launches):
-                graph.bind(f"out{i}", out, out_bytes)
-            graph.replay(serial=True)
-            want = [
-                host.download(out, [rows, cols], float16)
-                for _, _, out, _ in launches
-            ]
-            policy = AdaptivePolicy(warmup_replays=ADAPTIVE_WARMUP, min_gain=0.30)
-            managed = policy.manage(graph)
-            pool.profiler = Profile()
-            start = time.perf_counter()
-            for _ in range(ADAPTIVE_WARMUP):
-                managed.replay()
-            pool.synchronize()
-            t_cold = time.perf_counter() - start
-            assert policy.swaps == 1, (
-                f"cold start should swap exactly once, got {policy.swaps}"
-            )
-            # Shutdown publication: profile + the live (post-swap) plan.
-            store.publish_profile("coldstart", pool.profiler)
-            store.publish_plan(
-                "coldstart", managed.live.signature, managed.live.plan()
-            )
-        finally:
-            pool.shutdown()
-
-        # -- warm process: fresh image boots from the store -----------------
-        (rows, cols), host2, launches2, dead2 = _pgo_workload()
-        pool2 = StreamPool(host2.memory, num_streams=PGO_STREAMS)
-        try:
-            loaded = store.load_profile("coldstart")
-            assert loaded is not None, "cold process published no profile"
-            with pool2.capture() as graph2:
-                for program, a, out, _ in launches2:
-                    pool2.submit(program, [a, out], engine="batched")
-                for program, a, scratch in dead2:
-                    pool2.submit(program, [a, scratch], engine="batched")
-            for i, (_, _, out, _) in enumerate(launches2):
-                graph2.bind(f"out{i}", out, out_bytes)
-            # The stored profile optimizes the capture at boot —
-            # measured-cost LPT placement and dead-node elimination,
-            # paid for by the *cold* process — and the stored placement
-            # (same signature: identical live node set) re-applies on
-            # top when it validates.
-            graph2 = graph2.optimize(loaded)
-            try:
-                plan = store.load_plan("coldstart", graph2.signature)
-                if plan is not None:
-                    graph2 = graph2.apply_plan(plan)
-            except Exception:
-                pass
-            policy2 = AdaptivePolicy(
-                warmup_replays=ADAPTIVE_WARMUP, min_gain=0.30
-            )
-            managed2 = policy2.manage(graph2, warm=True)
-            pool2.profiler = Profile()
-            start = time.perf_counter()
-            for _ in range(ADAPTIVE_WARMUP):
-                managed2.replay()
-            pool2.synchronize()
-            t_warm = time.perf_counter() - start
-            assert policy2.swaps == 0, (
-                f"warm boot swapped {policy2.swaps} times — it should "
-                "start converged"
-            )
-            got = [
-                host2.download(out, [rows, cols], float16)
-                for _, _, out, _ in launches2
-            ]
-            for w, g in zip(want, got):
-                assert np.array_equal(g, w), (
-                    "warm-store replay diverges from serial oracle"
-                )
-        finally:
-            pool2.shutdown()
-        counters = store.counters()
-
-    speedup = t_cold / t_warm
-    report = {
-        "cold_window_ms": t_cold * 1e3,
-        "warm_window_ms": t_warm * 1e3,
-        "coldstart_speedup": speedup,
-        "cold_swaps": policy.swaps,
-        "warm_swaps": policy2.swaps,
-        "store_hits": counters["hits"],
-        "store_misses": counters["misses"],
-        "store_publishes": counters["publishes"],
-    }
-    print(
-        f"warm-store boot (skewed {PGO_STREAMS}-stream DAG, warmup "
-        f"{ADAPTIVE_WARMUP}): cold window {report['cold_window_ms']:.2f} ms "
-        f"({policy.swaps} swap), warm window {report['warm_window_ms']:.2f} ms "
-        f"({policy2.swaps} swaps) -> {speedup:.1f}x time-to-converged "
-        f"(bit-exact; store: {counters['hits']} hits, "
-        f"{counters['misses']} misses, {counters['publishes']} publishes)"
-    )
-    assert speedup >= min_speedup, (
-        f"warm-store time-to-converged speedup {speedup:.2f}x below the "
-        f"{min_speedup:.1f}x target"
-    )
-    return report
-
-
-# ---------------------------------------------------------------------------
 # Multi-process sharded serving vs the single-process simulator
 # ---------------------------------------------------------------------------
 
@@ -1143,8 +874,6 @@ SECTIONS = (
     "streams",
     "graphs",
     "pgo",
-    "adaptive",
-    "coldstart",
     "serving",
     "jit",
     "obs",
@@ -1178,18 +907,6 @@ def main() -> None:
         type=float,
         default=1.2,
         help="profile-optimized vs heuristic-placement replay speedup floor",
-    )
-    parser.add_argument(
-        "--min-adaptive-speedup",
-        type=float,
-        default=1.15,
-        help="adaptive serving loop converged-over-cold throughput floor",
-    )
-    parser.add_argument(
-        "--min-coldstart-speedup",
-        type=float,
-        default=1.3,
-        help="warm-store boot vs cold start time-to-converged floor",
     )
     parser.add_argument(
         "--min-serving-speedup",
@@ -1238,14 +955,6 @@ def main() -> None:
             sections["graphs"] = graph_report(min_speedup=args.min_graph_speedup)
         if args.section in ("pgo", "all"):
             sections["pgo"] = pgo_report(min_speedup=args.min_pgo_speedup)
-        if args.section in ("adaptive", "all"):
-            sections["adaptive"] = adaptive_report(
-                min_speedup=args.min_adaptive_speedup
-            )
-        if args.section in ("coldstart", "all"):
-            sections["coldstart"] = coldstart_report(
-                min_speedup=args.min_coldstart_speedup
-            )
         if args.section in ("serving", "all"):
             sections["serving"] = serving_report(
                 min_speedup=args.min_serving_speedup,
@@ -1267,8 +976,6 @@ def main() -> None:
                     "min_stream_speedup": args.min_stream_speedup,
                     "min_graph_speedup": args.min_graph_speedup,
                     "min_pgo_speedup": args.min_pgo_speedup,
-                    "min_adaptive_speedup": args.min_adaptive_speedup,
-                    "min_coldstart_speedup": args.min_coldstart_speedup,
                     "min_serving_speedup": args.min_serving_speedup,
                     "min_jit_speedup": args.min_jit_speedup,
                     "max_serving_p99": args.max_serving_p99,

@@ -1,9 +1,9 @@
 """Shared benchmark utilities: table rendering and result capture.
 
 Every bench regenerates one table/figure of the paper's evaluation and
-prints the rows (also persisted under ``benchmarks/results/``) so that
-paper-vs-measured comparisons in EXPERIMENTS.md can be refreshed by
-running ``pytest benchmarks/ --benchmark-only -s``.
+prints the rows (also persisted under ``benchmarks/results/``); refresh
+the paper-vs-measured comparisons by running
+``pytest benchmarks/ --benchmark-only -s``.
 """
 
 from __future__ import annotations

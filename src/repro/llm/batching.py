@@ -33,15 +33,6 @@ With ``profile=True`` the run records a reusable per-node
 the measured costs feed ``graph.optimize`` for profile-guided stream
 re-balancing and ``Autotuner.tune_profiled`` for measurement-free
 re-tuning — serving traffic becomes the profile the optimizer consumes.
-
-``adaptive=True`` closes that loop **online**: decode graphs come under
-:class:`~repro.runtime.adaptive.AdaptivePolicy` management — after the
-policy's warmup window of profiled steps each live graph is atomically
-swapped for its profile-optimized image, with no explicit
-``reoptimize()`` call anywhere — and *new* batch sizes capture
-profile-guided (``capture(profile=...)``): the costs earlier graphs
-measured pick stream placement, stream count and engine choice at
-capture time.  ``TraceResult.auto_reoptimizations`` counts the swaps.
 """
 
 from __future__ import annotations
@@ -139,9 +130,6 @@ class TraceResult:
     #: :class:`~repro.runtime.profiling.Profile`), populated when the
     #: simulator was created with ``profile=True``; None otherwise.
     profile: object | None = None
-    #: Automatic live-graph swaps the adaptive policy performed during
-    #: this trace (``adaptive=True``); zero otherwise.
-    auto_reoptimizations: int = 0
     #: Compiled-tier counters (``jit=True``): hot specializations the JIT
     #: lowered to straight-line compiled kernels during this trace, and
     #: how many decode executions ran through them.  Zero otherwise.
@@ -201,11 +189,6 @@ class ContinuousBatchingSimulator:
     in-flight set changes; set it False to eager-submit every step.
     ``profile=True`` records every decode kernel into a reusable
     :class:`~repro.runtime.profiling.Profile` on ``TraceResult.profile``.
-    ``adaptive`` (True, or an
-    :class:`~repro.runtime.adaptive.AdaptivePolicy` for knob control)
-    puts the decode graphs under online auto-reoptimization and makes
-    new batch sizes capture profile-guided; swaps are counted on
-    ``TraceResult.auto_reoptimizations``.
     ``jit=True`` attaches the operator runtime's compiled tier
     (:meth:`~repro.runtime.runtime.Runtime.enable_jit`): the decode
     kernel's specialization accumulates profiled heat and, once hot,
@@ -223,7 +206,6 @@ class ContinuousBatchingSimulator:
         num_streams: int = 4,
         use_graphs: bool = True,
         profile: bool = False,
-        adaptive=False,
         jit: bool = False,
         jit_threshold_s: float | None = None,
         store=None,
@@ -239,25 +221,6 @@ class ContinuousBatchingSimulator:
         #: Record per-node execution profiles of the decode kernels onto
         #: the operator runtime (``TraceResult.profile`` carries them).
         self.profile = profile
-        #: The adaptive policy managing the decode graphs, or None.  One
-        #: policy per simulator: graphs are cached across runs, so their
-        #: management must be too.
-        if adaptive:
-            if not use_graphs:
-                raise ValueError(
-                    "adaptive=True requires use_graphs=True: the policy "
-                    "manages captured decode graphs, and eager per-step "
-                    "submission has nothing to swap"
-                )
-            from repro.runtime.adaptive import AdaptivePolicy
-
-            self._policy = (
-                adaptive
-                if isinstance(adaptive, AdaptivePolicy)
-                else AdaptivePolicy(warmup_replays=4, min_gain=0.05)
-            )
-        else:
-            self._policy = None
         #: Whether the compiled tier is attached to the operator runtime.
         self._jit = bool(jit) and decode_linear is not None
         if self._jit:
@@ -266,11 +229,11 @@ class ContinuousBatchingSimulator:
         #: binding layout it was captured against.
         self._graphs: dict = {}
         #: Persistent tuning store (see :mod:`repro.store`), or None.
-        #: A warm boot loads the previous generation's profile and JIT
-        #: state here; :meth:`publish_store` writes this generation's
-        #: back.  Every load failure degrades to a cold boot.
+        #: A warm boot applies the previous generation's stored plans to
+        #: fresh captures and pre-promotes its JIT state;
+        #: :meth:`publish_store` writes this generation's back.  Every
+        #: load failure degrades to a cold boot.
         self._store_scope = store_scope
-        self._warm_profile = None
         #: Profiles accumulated across this simulator's runs, merged for
         #: publication (each run installs a fresh per-trace profile).
         self._store_profile = None
@@ -284,17 +247,13 @@ class ContinuousBatchingSimulator:
             self._warm_boot(decode_linear.runtime)
 
     def _warm_boot(self, runtime) -> None:
-        """Spend the store's persisted state: the stored profile arms
-        profile-guided capture (zero-swap convergence) and stored JIT
-        heat/kernels pre-promote the decode specialization.  Corrupt
-        entries are swallowed — the boot proceeds cold."""
+        """Spend the store's persisted JIT state: stored heat and kernels
+        pre-promote the decode specialization (stored plans are applied
+        per capture, :meth:`_apply_stored_plan`).  Corrupt entries are
+        swallowed — the boot proceeds cold."""
         from repro.errors import VMError
 
         runtime.store = self._store
-        try:
-            self._warm_profile = self._store.load_profile(self._store_scope)
-        except VMError:
-            self._warm_profile = None
         if self._jit:
             try:
                 payload = self._store.load_jit(self._store_scope)
@@ -316,7 +275,7 @@ class ContinuousBatchingSimulator:
         frozen dot-namespaced contract
         (:data:`repro.obs.metrics.SIMULATOR_METRICS_KEYS`): the
         kernel-in-the-loop runtime's full ``runtime.*``/``jit.*``/
-        ``adaptive.*`` snapshot (zeros when decode runs analytically,
+        ``store.*`` snapshot (zeros when decode runs analytically,
         with no kernel in the loop) plus the ``batching.*`` graph
         census.  This is what workers ship on ``pull_trace`` next to
         their event buffers."""
@@ -345,15 +304,11 @@ class ContinuousBatchingSimulator:
         pending = sorted(requests, key=lambda r: r.arrival_s)
         inflight: list[_Inflight] = []
         outcome = TraceResult()
-        # The adaptive policy is fed by profiled replays, and JIT
-        # promotion is driven by profiled heat, so both run profiled
+        # JIT promotion is driven by profiled heat, so it runs profiled
         # even when the caller did not ask to keep the profile
         # (outcome.profile stays None unless profile=True).
         profiling = (
-            self.profile
-            or self._policy is not None
-            or self._jit
-            or self._store is not None
+            self.profile or self._jit or self._store is not None
         ) and self.decode_linear is not None
         if profiling:
             # Fresh profile per run so the trace's records are its own
@@ -366,15 +321,12 @@ class ContinuousBatchingSimulator:
             fresh = runtime.enable_profiling(Profile())
             if self.profile:
                 outcome.profile = fresh
-        swaps_before = self._policy.swaps if self._policy is not None else 0
         jit = self.decode_linear.runtime.jit if self._jit else None
         compiled_before = jit.compiled if jit is not None else 0
         promotions_before = jit.promotions if jit is not None else 0
         try:
             return self._run_loop(pending, inflight, outcome)
         finally:
-            if self._policy is not None:
-                outcome.auto_reoptimizations = self._policy.swaps - swaps_before
             if jit is not None:
                 outcome.jit_compiled = jit.compiled - compiled_before
                 outcome.jit_promotions = jit.promotions - promotions_before
@@ -510,40 +462,13 @@ class ContinuousBatchingSimulator:
             outcome.max_concurrent_streams, len(streams_used)
         )
 
-    def _capture_hint(self, program, args):
-        """The prior profile to hand a fresh batch size's capture, or
-        None.  Only meaningful under the adaptive policy, and only when
-        the active profiler has already measured this decode kernel's
-        specialization key (earlier batch sizes' graphs record the same
-        ``program_for(1)`` spec) — an unrelated profile must not be
-        offered, since profile-guided capture rejects a profile that
-        matches nothing."""
-        if self._policy is None and self._warm_profile is None:
-            return None
-        from repro.compiler.pipeline import specialization_key
-        from repro.runtime.profiling import spec_string
-
-        spec = spec_string(specialization_key(program, args))
-        if self._policy is not None:
-            profiler = self.decode_linear.runtime.profiler
-            if profiler is not None and profiler.spec_seconds(spec) is not None:
-                return profiler
-        warm = self._warm_profile
-        if warm is not None and warm.spec_seconds(spec) is not None:
-            # Store-warm boot: a profile recorded by a previous process
-            # stands in until this one has measured anything itself.
-            return warm
-        return None
-
     def _decode_step_graphed(self, pool, inflight, outcome: TraceResult) -> None:
         """One decode step through the graph subsystem: capture the
         launch DAG on the first step at this batch size, replay it on
         every later one (rebinding each request slot's activation and
-        output buffers to the current in-flight set).  Under the
-        adaptive policy the capture is profile-guided once earlier
-        graphs have measured the decode kernel, and the graph comes
-        under management — the policy swaps it for its optimized image
-        after the warmup window, automatically."""
+        output buffers to the current in-flight set).  With a store, a
+        fresh capture is re-placed under the stored plan for its
+        signature."""
         linear = self.decode_linear
         runtime = linear.runtime
         program = linear.program_for(1)
@@ -552,12 +477,7 @@ class ContinuousBatchingSimulator:
         out_bytes = (linear.n * linear.act_dtype.nbits + 7) // 8
         graph = self._graphs.get(batch)
         if graph is None:
-            first = inflight[0]
-            hint = self._capture_hint(
-                program,
-                [first.act_addr, linear.b_addr, linear.s_addr, first.out_addr],
-            )
-            with runtime.capture(self.num_streams, profile=hint) as graph:
+            with runtime.capture(self.num_streams) as graph:
                 for idx, flight in enumerate(inflight):
                     runtime.launch(
                         program,
@@ -567,17 +487,10 @@ class ContinuousBatchingSimulator:
             for idx, flight in enumerate(inflight):
                 graph.bind(f"act{idx}", flight.act_addr, act_bytes)
                 graph.bind(f"out{idx}", flight.out_addr, out_bytes)
-            warm_capture = hint is not None and hint is self._warm_profile
             if self._store is not None:
                 applied = self._apply_stored_plan(graph)
                 if applied is not None:
                     graph = applied
-                    warm_capture = True
-            if self._policy is not None:
-                # A warm capture already sits on a converged placement:
-                # the policy's unconditional first swap is disabled so a
-                # warm boot replays with zero adaptive swaps.
-                graph = self._policy.manage(graph, warm=warm_capture)
             self._graphs[batch] = graph
             outcome.graph_captures += 1
             graph.replay()  # identity bindings: captured from this step
@@ -609,11 +522,10 @@ class ContinuousBatchingSimulator:
             return None
 
     def publish_store(self) -> dict:
-        """Persist this simulator's converged serving state — merged
-        profile (warm inheritance + every run served here), each decode
-        graph's live placement, and the JIT tier's heat and kernel
-        sources — so the next process boots converged.  Returns a
-        summary dict; publication is best-effort per artifact."""
+        """Persist this simulator's serving state — merged profile (every
+        run served here), each decode graph's placement, and the JIT
+        tier's heat and kernel sources — so the next process boots warm.
+        Returns a summary dict; publication is best-effort per artifact."""
         summary = {"profile": False, "plans": 0, "jit_kernels": 0}
         if self._store is None or self.decode_linear is None:
             return summary
@@ -622,8 +534,6 @@ class ContinuousBatchingSimulator:
 
         runtime = self.decode_linear.runtime
         merged = Profile()
-        if self._warm_profile is not None:
-            merged.merge(self._warm_profile)
         if self._store_profile is not None:
             merged.merge(self._store_profile)
         if runtime.profiler is not None:
@@ -632,10 +542,9 @@ class ContinuousBatchingSimulator:
             self._store.publish_profile(self._store_scope, merged)
             summary["profile"] = True
         for graph in self._graphs.values():
-            live = getattr(graph, "live", graph)
             try:
                 self._store.publish_plan(
-                    self._store_scope, live.signature, live.plan()
+                    self._store_scope, graph.signature, graph.plan()
                 )
                 summary["plans"] += 1
             except VMError:

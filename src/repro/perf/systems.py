@@ -23,7 +23,8 @@ calibrated efficiency constants:
 
 All times are seconds.  Constants were calibrated once against the
 headline ratios of the paper (1.75x vs Triton, 2.61x vs Ladder, 1.29x vs
-QuantLLM, 1.03x vs Marlin) and recorded in EXPERIMENTS.md.
+QuantLLM, 1.03x vs Marlin); ``benchmarks/bench_headline.py`` recomputes
+the modeled ratios and their tolerances.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
 """Runtime system (paper Section 8.1, step 4)."""
 
-from repro.runtime.adaptive import AdaptiveGraph, AdaptivePolicy
 from repro.runtime.engine import LocalEngine
 from repro.runtime.graphs import ExecutionGraph, GraphNode, GraphPlan
 from repro.runtime.jit import JitCache, JitManager
@@ -21,8 +20,6 @@ from repro.runtime.streams import (
 )
 
 __all__ = [
-    "AdaptiveGraph",
-    "AdaptivePolicy",
     "Runtime",
     "KernelCache",
     "SpecializationCache",

@@ -3,7 +3,7 @@ engine/transport split.
 
 The runtime package grew four tightly-coupled subsystems — the
 :class:`~repro.runtime.runtime.Runtime` (memory + specialization cache +
-launch API), the stream pool, execution graphs and the adaptive policy.
+launch API), the stream pool, execution graphs and the compiled tier.
 Multi-process sharded serving (:mod:`repro.serving`) needs a *seam*
 between all of that and the placement/transport layer: a worker process
 owns exactly one local engine; the router owns none — it only moves
@@ -11,7 +11,7 @@ JSON-serialized state (:class:`~repro.runtime.profiling.Profile`,
 :class:`~repro.runtime.graphs.GraphPlan`) and requests between engines.
 
 :class:`LocalEngine` is that seam.  It bundles a Runtime, its spec
-cache, optional profiling and an optional adaptive policy behind the
+cache, optional profiling and an optional compiled tier behind the
 narrow surface the serving layer is allowed to touch, plus the
 JSON-state import/export the transport layer ships across process
 boundaries.  Semantics are unchanged from driving the Runtime directly
@@ -30,7 +30,7 @@ from repro.store import TuningStore
 
 
 class LocalEngine:
-    """One process's execution engine: Runtime + spec cache + policy.
+    """One process's execution engine: Runtime + spec cache + JIT.
 
     Everything the placement/transport layer may ask of a shard happens
     through this interface:
@@ -48,19 +48,18 @@ class LocalEngine:
       :meth:`apply_plan_json` re-places a local graph under a plan
       decided elsewhere.
 
-    ``adaptive=True`` (or a concrete policy) attaches the online
-    auto-reoptimization loop exactly as ``runtime.enable_adaptive()``
-    would; ``profile=True`` starts recording immediately; ``jit=True``
+    ``profile=True`` starts recording immediately; ``jit=True``
     attaches the compiled tier exactly as ``runtime.enable_jit()``
-    would, so hot specializations promote out of the interpreter with
-    no further API surface.
+    would and turns on profiling too — profiled heat is what promotes a
+    specialization — so hot specializations promote out of the
+    interpreter with no further API surface.
 
     ``store=`` (a directory path or a live
     :class:`~repro.store.TuningStore`) attaches the persistent tuning
     store; :meth:`warm_start` then spends state another process
     published — profiles merge into the profiler, stored JIT heat and
     kernels pre-promote — and :meth:`publish_store` persists this
-    engine's converged state for the next process.  Every load path
+    engine's state for the next process.  Every load path
     degrades: a corrupt entry raises ``VMError`` inside the store, the
     engine counts it and proceeds cold.
     """
@@ -71,7 +70,6 @@ class LocalEngine:
         engine: str = "auto",
         cache_entries: int = 128,
         profile: bool = False,
-        adaptive=False,
         jit: bool = False,
         store=None,
         store_scope: str = "engine",
@@ -79,10 +77,7 @@ class LocalEngine:
         self.runtime = Runtime(
             dram_bytes=dram_bytes, engine=engine, cache_entries=cache_entries
         )
-        if adaptive:
-            policy = adaptive if not isinstance(adaptive, bool) else None
-            self.runtime.enable_adaptive(policy)
-        if profile:
+        if profile or jit:
             self.runtime.enable_profiling()
         if jit:
             self.runtime.enable_jit()
@@ -105,22 +100,17 @@ class LocalEngine:
     def launch(self, program, args, **kwargs):
         return self.runtime.launch(program, args, **kwargs)
 
-    def capture(self, num_streams: int = 4, profile: Profile | None = None):
-        return self.runtime.capture(num_streams, profile=profile)
+    def capture(self, num_streams: int = 4):
+        return self.runtime.capture(num_streams)
 
     def synchronize(self) -> None:
         self.runtime.synchronize()
 
-    # -- cache / policy introspection ---------------------------------------
+    # -- cache / profiler introspection -------------------------------------
     @property
     def cache(self):
         """The runtime's kernel specialization cache."""
         return self.runtime.cache
-
-    @property
-    def policy(self):
-        """The attached adaptive policy, or None."""
-        return self.runtime.adaptive
 
     @property
     def profiler(self) -> Profile | None:
@@ -180,19 +170,17 @@ class LocalEngine:
         / plan no longer applicable — every miss degrades)."""
         if self.store is None:
             return None
-        live = getattr(graph, "live", graph)
         try:
-            plan = self.store.load_plan(self.store_scope, live.signature)
+            plan = self.store.load_plan(self.store_scope, graph.signature)
             if plan is None:
                 return None
-            return live.apply_plan(plan)
+            return graph.apply_plan(plan)
         except VMError:
             return None
 
     def publish_store(self, graphs: Sequence = ()) -> dict:
-        """Persist this engine's converged state: the recorded profile,
-        each given graph's live placement, and (when the compiled tier
-        is attached) JIT heat + kernel sources.  Returns a summary dict.
+        """Persist this engine's state: the recorded profile, each given
+        graph's placement, and (when the compiled tier is attached) JIT heat + kernel sources.  Returns a summary dict.
         Publication is best-effort per artifact; one failure does not
         block the others."""
         summary = {"profile": False, "plans": 0, "jit_kernels": 0}
@@ -203,10 +191,9 @@ class LocalEngine:
             self.store.publish_profile(self.store_scope, profiler)
             summary["profile"] = True
         for graph in graphs:
-            live = getattr(graph, "live", graph)
             try:
                 self.store.publish_plan(
-                    self.store_scope, live.signature, live.plan()
+                    self.store_scope, graph.signature, graph.plan()
                 )
                 summary["plans"] += 1
             except VMError:
@@ -230,7 +217,7 @@ class LocalEngine:
         engine's active profiler (enabling profiling if it was off).
         Returns the active profiler.  Specialization-key strings are
         deterministic across processes, so the absorbed records are
-        immediately consultable by profile-guided capture and
+        immediately consultable by ``graph.optimize`` and
         ``tune_profiled`` — the fleet-warm-start path."""
         incoming = Profile.from_json(text)
         active = self.runtime.enable_profiling()
@@ -239,24 +226,19 @@ class LocalEngine:
 
     @staticmethod
     def plan_json(graph) -> str:
-        """A captured graph's transportable schedule as versioned JSON.
-        Accepts a raw :class:`~repro.runtime.graphs.ExecutionGraph` or an
-        adaptive facade (the live image's plan is exported)."""
-        live = getattr(graph, "live", graph)
-        return live.plan().to_json()
+        """A captured graph's transportable schedule as versioned JSON."""
+        return graph.plan().to_json()
 
     @staticmethod
     def apply_plan_json(graph, text: str) -> ExecutionGraph:
         """Re-place a local graph under a JSON plan recorded elsewhere
         (see :meth:`~repro.runtime.graphs.ExecutionGraph.apply_plan` for
         the validation contract)."""
-        live = getattr(graph, "live", graph)
-        return live.apply_plan(GraphPlan.from_json(text))
+        return graph.apply_plan(GraphPlan.from_json(text))
 
     def __repr__(self) -> str:
         return (
             f"LocalEngine({self.runtime.cache!r}, "
             f"profiling={'on' if self.runtime.profiler is not None else 'off'}, "
-            f"adaptive={'on' if self.runtime.adaptive is not None else 'off'}, "
             f"jit={'on' if self.runtime.jit is not None else 'off'})"
         )

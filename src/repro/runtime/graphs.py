@@ -82,12 +82,6 @@ from repro.errors import VMError
 from repro.ir import instructions as insts
 from repro.obs import trace as obs_trace
 from repro.ir.program import Program
-from repro.runtime.adaptive import (
-    STREAM_CAP_SLACK,
-    estimated_makespan,
-    guided_placement,
-    lpt_placement,
-)
 from repro.runtime.profiling import (
     Profile,
     StatsTimer,
@@ -124,6 +118,90 @@ def _has_side_effects(program: Program) -> bool:
 
 def _intervals_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
     return a[0] < b[1] and b[0] < a[1]
+
+
+# ---------------------------------------------------------------------------
+# Placement core for :meth:`ExecutionGraph.optimize` (pure functions over
+# plain data, so property tests can drive them directly)
+# ---------------------------------------------------------------------------
+
+
+def round_robin_placement(node_indices: Iterable[int], num_streams: int) -> dict[int, int]:
+    """The baseline heuristic: nodes onto streams in submission order."""
+    return {i: k % num_streams for k, i in enumerate(sorted(node_indices))}
+
+
+def estimated_makespan(
+    placement: Mapping[int, int],
+    costs: Mapping[int, float],
+    deps: Mapping[int, tuple],
+) -> float:
+    """Predicted finish time of a placement: streams execute their nodes
+    FIFO in node-index order (exactly the replay contract), each node
+    starting once its stream is free and its placed dependencies have
+    finished.  Dependencies outside ``placement`` (eliminated nodes) are
+    skipped."""
+    finish: dict[int, float] = {}
+    avail: dict[int, float] = {}
+    for i in sorted(placement):
+        stream = placement[i]
+        ready = max(
+            (finish[d] for d in deps.get(i, ()) if d in finish), default=0.0
+        )
+        start = max(avail.get(stream, 0.0), ready)
+        finish[i] = start + costs[i]
+        avail[stream] = finish[i]
+    return max(avail.values(), default=0.0)
+
+
+def lpt_placement(
+    num_streams: int, costs: Mapping[int, float], deps: Mapping[int, tuple]
+) -> dict[int, int]:
+    """Longest-processing-time list scheduling over a hazard DAG.
+
+    Nodes are scheduled most-expensive-first among those whose
+    dependencies are already placed; each goes to the stream with the
+    earliest predicted finish (``max(stream available, deps ready) +
+    cost``).  For independent nodes this is classic LPT onto the
+    least-loaded stream; dependent nodes land where their predecessors
+    let them start soonest.  LPT is a heuristic, not an optimum, so the
+    result is kept only when its :func:`estimated_makespan` does not
+    exceed plain round-robin's — the placement is never estimated worse
+    than the baseline (property-tested).  Fully deterministic: ties
+    break on node index and stream index, so equal cost maps yield equal
+    placements.  ``deps`` entries may reference nodes outside ``costs``
+    (eliminated nodes); those are ignored.
+    """
+    live_set = set(costs)
+    remaining = set(costs)
+    scheduled: dict[int, int] = {}
+    finish: dict[int, float] = {}
+    avail = [0.0] * num_streams
+    while remaining:
+        ready = [
+            i
+            for i in remaining
+            if all(d in scheduled for d in deps.get(i, ()) if d in live_set)
+        ]
+        ready.sort(key=lambda i: (-costs[i], i))
+        i = ready[0]
+        ready_time = max(
+            (finish[d] for d in deps.get(i, ()) if d in live_set),
+            default=0.0,
+        )
+        best_stream = min(
+            range(num_streams),
+            key=lambda s: (max(avail[s], ready_time) + costs[i], s),
+        )
+        start = max(avail[best_stream], ready_time)
+        finish[i] = start + costs[i]
+        avail[best_stream] = finish[i]
+        scheduled[i] = best_stream
+        remaining.discard(i)
+    rr = round_robin_placement(costs, num_streams)
+    if estimated_makespan(rr, costs, deps) < estimated_makespan(scheduled, costs, deps):
+        return rr
+    return scheduled
 
 
 class GraphNode:
@@ -427,11 +505,8 @@ class ExecutionGraph:
     docstring for semantics.
     """
 
-    def __init__(self, pool: StreamPool, profile: Profile | None = None) -> None:
+    def __init__(self, pool: StreamPool) -> None:
         self.pool = pool
-        #: Prior profile consulted at capture/instantiate time
-        #: (profile-guided capture; see :mod:`repro.runtime.adaptive`).
-        self._capture_profile = profile
         self.nodes: list[GraphNode] = []
         self.replays = 0
         self._phase = "idle"  # idle -> capturing -> ready (or aborted)
@@ -457,14 +532,7 @@ class ExecutionGraph:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.pool._capture = None
         if exc_type is None:
-            try:
-                self._instantiate()
-            except BaseException:
-                # A failed instantiation (e.g. a capture profile that
-                # matches nothing) must not leave the graph looking like
-                # an active capture: later use should say "aborted".
-                self._phase = "aborted"
-                raise
+            self._instantiate()
             self._phase = "ready"
         else:
             self._phase = "aborted"
@@ -506,7 +574,7 @@ class ExecutionGraph:
         key = specialization_key(program, args)
         choice = engine
         if choice == "auto":
-            choice = self._guided_engine(program, grid, key)
+            choice = select_engine(program, grid)
         elif choice == "compiled":
             # The compiled tier is an execution-time decision (replay
             # tasks promote hot nodes themselves); captured nodes only
@@ -526,28 +594,6 @@ class ExecutionGraph:
         )
         self.nodes.append(node)
         return CapturedLaunchHandle(program, args, node, self)
-
-    def _guided_engine(self, program: Program, grid, key: tuple) -> str:
-        """Resolve ``engine="auto"`` for one recorded launch.
-
-        With a capture profile, the launch's specialization key is looked
-        up per engine: when *both* engines have measured costs, the
-        cheaper one wins — measured cost, not grid size, decides.  A key
-        the profile has seen under at most one engine has nothing to
-        compare, so it falls back to the live heuristic
-        (:func:`~repro.vm.batched.select_engine`) unchanged.
-        """
-        if self._capture_profile is not None:
-            measured = self._capture_profile.spec_engine_seconds(spec_string(key))
-            # Only the interpreted engines are capture-time choices; the
-            # compiled tier's records must not elect "compiled" as a
-            # frozen node engine (promotion happens at replay).
-            measured = {
-                e: s for e, s in measured.items() if e in ("sequential", "batched")
-            }
-            if len(measured) >= 2:
-                return min(measured.items(), key=lambda kv: (kv[1], kv[0]))[0]
-        return select_engine(program, grid)
 
     # -- instantiation ------------------------------------------------------
     def _mergeable(self, group: list[GraphNode], node: GraphNode) -> bool:
@@ -572,11 +618,7 @@ class ExecutionGraph:
     def _instantiate(self) -> None:
         """Freeze the per-stream execution groups and their cross-stream
         dependency edges — the static image of the live runtime's
-        coalescing and ordering decisions.  With a capture profile, node
-        placement (and the stream count) is first recomputed from
-        measured costs (:meth:`_apply_capture_profile`)."""
-        if self._capture_profile is not None and self.nodes:
-            self._apply_capture_profile(self._capture_profile)
+        coalescing and ordering decisions."""
         per_stream: dict[int, list[GraphNode]] = {}
         for node in self.nodes:
             per_stream.setdefault(node.stream_index, []).append(node)
@@ -628,52 +670,6 @@ class ExecutionGraph:
                     "groups": len(groups),
                 },
             )
-
-    def _apply_capture_profile(self, profile: Profile) -> None:
-        """Profile-guided placement at capture time.
-
-        Measured per-node costs (this graph's signature, falling back to
-        specialization-key means for nodes the signature scope missed)
-        drive a guided LPT placement over the hazard DAG, and the
-        **stream count is capped to the measured parallelism**: the
-        smallest count whose estimated makespan is within
-        :data:`~repro.runtime.adaptive.STREAM_CAP_SLACK` of the best
-        over all counts wins.  The re-placement is applied only when its
-        estimated makespan stays within that same slack of the heuristic
-        placement's — profile-guided capture never regresses the
-        estimate beyond the slack it deliberately trades for fewer
-        streams (the estimate ignores per-stream replay overhead, which
-        is exactly what fewer streams save).  An empty profile changes
-        nothing (cold start); a
-        non-empty profile matching *no* node is rejected with
-        :class:`VMError` — a wrong profile file must not silently
-        misoptimize.
-        """
-        if len(profile) == 0:
-            return  # cold start: nothing measured yet, keep the heuristics
-        costs, matched = self._profiled_costs(profile)
-        if matched == 0:
-            raise VMError(
-                f"capture profile ({len(profile)} sites) matches no node of "
-                f"this graph (signature {self.signature}): neither the "
-                "signature nor any node's specialization key was ever "
-                "recorded — wrong profile?  Capture without profile= to "
-                "use the heuristic placement."
-            )
-        deps = {node.index: node.deps for node in self.nodes}
-        heuristic = {node.index: node.stream_index for node in self.nodes}
-        heuristic_span = estimated_makespan(heuristic, costs, deps)
-        candidates = []
-        for k in range(1, len(self.pool.streams) + 1):
-            placement = guided_placement(k, costs, deps)
-            candidates.append((k, placement, estimated_makespan(placement, costs, deps)))
-        best_span = min(span for _, _, span in candidates)
-        for _, placement, span in candidates:  # ascending stream count
-            if span <= best_span * (1.0 + STREAM_CAP_SLACK):
-                break
-        if span <= heuristic_span * (1.0 + STREAM_CAP_SLACK):
-            for node in self.nodes:
-                node.stream_index = placement[node.index]
 
     def _finish_group(self, stream_index: int, nodes: list[GraphNode]) -> _Group:
         return _Group(
@@ -1048,18 +1044,6 @@ class ExecutionGraph:
             matched,
         )
 
-    def _lpt_placement(
-        self, live: list[int], costs: dict[int, float]
-    ) -> dict[int, int]:
-        """Measured-cost LPT over the hazard DAG, restricted to the live
-        nodes (see :func:`repro.runtime.adaptive.lpt_placement` for the
-        scheduling semantics — the same deterministic core drives
-        profile-guided capture and the adaptive policy)."""
-        deps = {i: self.nodes[i].deps for i in live}
-        return lpt_placement(
-            len(self.pool.streams), {i: costs[i] for i in live}, deps
-        )
-
     def profile_matches(self, profile: Profile | None) -> bool:
         """True when ``profile`` holds at least one record describing
         this graph — a signature or specialization-key match — i.e. the
@@ -1129,7 +1113,11 @@ class ExecutionGraph:
                 )
         else:
             costs = {node.index: 1.0 for node in self.nodes}
-        placement = self._lpt_placement(live, costs)
+        placement = lpt_placement(
+            len(self.pool.streams),
+            {i: costs[i] for i in live},
+            {i: self.nodes[i].deps for i in live},
+        )
         remap = {old: new for new, old in enumerate(live)}
         optimized = ExecutionGraph(self.pool)
         for old in live:

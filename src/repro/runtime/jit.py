@@ -20,12 +20,11 @@ source.  This module is the *runtime* half of the tier:
   remembered so a hot-but-unloweable signature does not re-attempt the
   whole pass pipeline on every launch.
 
-Promotion is profile-driven, closing the tiered-PGO loop: the adaptive
-runtime already records per-specialization wall time
-(:meth:`~repro.runtime.profiling.Profile.spec_heat`, fed by the same
-profiled replays that drive :class:`~repro.runtime.adaptive.
-AdaptivePolicy`); once a signature's accumulated interpreted time
-clears ``threshold_s``, the next launch compiles it and every launch
+Promotion is profile-driven, closing the tiered-PGO loop: the profiler
+already records per-specialization wall time
+(:meth:`~repro.runtime.profiling.Profile.spec_heat`, fed by every
+profiled launch and replay); once a signature's accumulated
+interpreted time clears ``threshold_s``, the next launch compiles it and every launch
 after that runs the cached callable — interpret → batched → compiled,
 with no API change at any call site.  Cold signatures never pay a
 compile; promoted signatures stay promoted for the manager's lifetime

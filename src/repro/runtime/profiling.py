@@ -363,21 +363,6 @@ class Profile:
                     setattr(agg, attr, getattr(agg, attr) + getattr(node, attr))
         return merged
 
-    def spec_engine_seconds(self, spec: str) -> dict[str, float]:
-        """Mean wall seconds per launch of this specialization-key
-        string, broken out **per engine** — the profile-guided capture
-        lookup: when both engines have been measured for a kernel, the
-        capture picks the cheaper one instead of deciding by grid size.
-        Engines never recorded are absent from the result."""
-        totals: dict[str, tuple[float, int]] = {}
-        with self._lock:
-            for node in self.nodes.values():
-                if node.spec != spec or not node.calls:
-                    continue
-                wall, calls = totals.get(node.engine, (0.0, 0))
-                totals[node.engine] = (wall + node.wall_s, calls + node.calls)
-        return {engine: wall / calls for engine, (wall, calls) in totals.items()}
-
     def spec_heat(self, spec: str) -> float:
         """Total wall seconds this specialization-key string has spent in
         the *interpreted* tiers (every engine except ``compiled``) — the

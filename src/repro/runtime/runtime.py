@@ -171,8 +171,6 @@ class Runtime:
         self._pool: StreamPool | None = None
         #: Active profiler (see :meth:`enable_profiling`), or None.
         self.profiler: Profile | None = None
-        #: Attached adaptive policy (see :meth:`enable_adaptive`), or None.
-        self.adaptive = None
         #: Attached :class:`~repro.runtime.jit.JitManager` (see
         #: :meth:`enable_jit`), or None.
         self.jit = None
@@ -220,50 +218,15 @@ class Runtime:
         trace's pid axis is the process, and one ring buffer collects
         the host thread plus every stream lane — so this delegates to
         :func:`repro.obs.trace.install`; the emit points across the
-        stack (launches, stream groups, graph replays, JIT promotions,
-        adaptive swaps) fire only while a tracer is installed and cost
-        one ``is None`` test otherwise."""
+        stack (launches, stream groups, graph replays, JIT promotions)
+        fire only while a tracer is installed and cost one ``is None``
+        test otherwise."""
         return obs_trace.install(tracer, capacity=capacity)
 
     def disable_tracing(self):
         """Uninstall and return the process tracer (buffer intact), or
         None if tracing was off."""
         return obs_trace.uninstall()
-
-    # -- adaptive reoptimization ---------------------------------------------
-    def enable_adaptive(self, policy=None):
-        """Attach an :class:`~repro.runtime.adaptive.AdaptivePolicy` and
-        turn on profiling (the policy is driven by profiled replays).
-
-        Returns the active policy: the given one, the already-attached
-        one, or a fresh default.  From here on, graphs captured by the
-        serving layers (``ops.QuantizedLinear``'s split-k fan-out, the
-        ``llm.batching`` decode loop) come under management: after the
-        policy's warmup window of profiled replays each live graph is
-        atomically swapped for its profile-optimized image — no explicit
-        :meth:`~repro.ops.QuantizedLinear.reoptimize` call needed.
-        Graphs captured *before* this call stay unmanaged.
-        """
-        from repro.runtime.adaptive import AdaptivePolicy
-
-        if policy is None:
-            policy = self.adaptive if self.adaptive is not None else AdaptivePolicy()
-        self.adaptive = policy
-        self.enable_profiling()
-        if self._pool is not None:
-            self._pool.adaptive = policy
-        return policy
-
-    def disable_adaptive(self):
-        """Detach the adaptive policy; returns it.  No *new* captures
-        come under management afterwards; graphs already managed keep
-        their facade and continue evaluating while profiling stays on —
-        call :meth:`disable_profiling` too for a full stop."""
-        policy = self.adaptive
-        self.adaptive = None
-        if self._pool is not None:
-            self._pool.adaptive = None
-        return policy
 
     # -- tiered JIT ----------------------------------------------------------
     def enable_jit(self, threshold_s: float | None = None, max_entries: int | None = None):
@@ -275,9 +238,9 @@ class Runtime:
         synchronous launches, eager streams, graph replays — promotes a
         hot specialization to its compiled kernel once the profiler's
         accumulated interpreted time for it clears ``threshold_s``
-        (promotion needs an active profiler: :meth:`enable_profiling` or
-        :meth:`enable_adaptive`; without one, only explicit
-        ``engine="compiled"`` launches compile).  Specializations the
+        (promotion needs an active profiler, :meth:`enable_profiling`;
+        without one, only explicit ``engine="compiled"`` launches
+        compile).  Specializations the
         lowering pipeline declines fall back to the batched engine,
         bit-exactly.
         """
@@ -322,7 +285,6 @@ class Runtime:
                 shared_capacity=self.interpreter.shared_capacity,
             )
             self._pool.profiler = self.profiler
-            self._pool.adaptive = self.adaptive
             self._pool.jit = self.jit
         return self._pool
 
@@ -332,7 +294,7 @@ class Runtime:
             self._pool.synchronize()
 
     def capture(
-        self, num_streams: int = 4, profile: Profile | None = None
+        self, num_streams: int = 4
     ) -> "repro.runtime.graphs.ExecutionGraph":  # noqa: F821
         """Begin an execution-graph capture on the runtime's stream pool.
 
@@ -344,13 +306,8 @@ class Runtime:
         block, ``graph.replay(bindings)`` re-executes the frozen launch
         DAG without re-running scheduling, hazard analysis, or
         coalescing decisions.  See :mod:`repro.runtime.graphs`.
-
-        ``profile`` turns on profile-guided capture: measured costs pick
-        the engine choice, the per-launch stream placement, and the
-        stream count, with heuristic fallback for anything unseen (see
-        :mod:`repro.runtime.adaptive`).
         """
-        return self.stream_pool(num_streams).capture(profile=profile)
+        return self.stream_pool(num_streams).capture()
 
     # -- memory -------------------------------------------------------------
     def upload(self, values: np.ndarray, dtype: DataType) -> int:
@@ -507,7 +464,7 @@ class Runtime:
         (:data:`repro.obs.metrics.RUNTIME_METRICS_KEYS`).  Subsumes the
         per-subsystem counter objects — the specialization cache, the
         merged :class:`~repro.vm.interp.ExecutionStats`, the stream
-        pool, the JIT manager, the adaptive policy — without replacing
+        pool, the JIT manager, the tuning store — without replacing
         them; absent subsystems report zeros so the key set never
         varies."""
         from repro.obs.metrics import RUNTIME_METRICS_KEYS, validate_metrics
@@ -515,7 +472,6 @@ class Runtime:
         stats = self.stats()
         pool = self._pool
         jit = self.jit
-        adaptive = self.adaptive
         store = self.store
         snapshot = {
             "runtime.launches": self.context.launches,
@@ -542,11 +498,6 @@ class Runtime:
             "jit.cache.hits": jit.cache.hits if jit is not None else 0,
             "jit.cache.misses": jit.cache.misses if jit is not None else 0,
             "jit.cache.evictions": jit.cache.evictions if jit is not None else 0,
-            "adaptive.enabled": int(adaptive is not None),
-            "adaptive.swaps": adaptive.swaps if adaptive is not None else 0,
-            "adaptive.evaluations": (
-                adaptive.evaluations if adaptive is not None else 0
-            ),
             "store.enabled": int(store is not None),
             "store.hits": store.hits if store is not None else 0,
             "store.misses": store.misses if store is not None else 0,

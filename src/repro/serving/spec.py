@@ -53,7 +53,6 @@ class WorkerSpec:
     max_batch: int = 8
     num_streams: int = 4
     use_graphs: bool = True
-    adaptive: bool = False
     profile: bool = False
     #: Attach the compiled tier: hot decode specializations promote out
     #: of the interpreter (see :mod:`repro.runtime.jit`).
@@ -68,11 +67,10 @@ class WorkerSpec:
     #: and ships them on ``pull_trace`` for the router's fleet merge.
     trace: bool = False
     #: Directory of a persistent :class:`~repro.store.TuningStore`.
-    #: A worker built from a spec with a path boots *converged*:
-    #: profile-guided capture from the stored profile (zero adaptive
-    #: swaps), staged JIT kernels, and it publishes its own converged
-    #: state back on shutdown.  None (the default — old specs parse
-    #: unchanged) serves cold.
+    #: A worker built from a spec with a path boots *warm*: stored
+    #: graph plans re-place its captures and stored JIT heat and
+    #: kernels pre-promote, and it publishes its own state back on
+    #: shutdown.  None (the default) serves cold.
     store_path: str | None = None
 
     # -- JSON round-trip -----------------------------------------------------
@@ -168,7 +166,6 @@ class WorkerSpec:
             num_streams=self.num_streams,
             use_graphs=self.use_graphs,
             profile=self.profile,
-            adaptive=self.adaptive,
             jit=self.jit,
             jit_threshold_s=self.jit_threshold_s,
             store=self.store_path,

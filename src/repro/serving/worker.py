@@ -125,7 +125,6 @@ def worker_main(conn, spec_json: str) -> None:
                         "kernel_launches": outcome.kernel_launches,
                         "graph_captures": outcome.graph_captures,
                         "graph_replays": outcome.graph_replays,
-                        "auto_reoptimizations": outcome.auto_reoptimizations,
                         "jit_compiled": outcome.jit_compiled,
                         "jit_promotions": outcome.jit_promotions,
                         # Per-chunk specialization-cache deltas, so the

@@ -11,9 +11,9 @@ content-addressed on-disk store keyed by what the artifacts *are*
 profile content stamps), not where they came from:
 
 - serialized :class:`~repro.runtime.profiling.Profile` s (the
-  profile-guided capture and JIT-heat input);
-- optimized :class:`~repro.runtime.graphs.GraphPlan` placements, keyed
-  by graph signature;
+  ``graph.optimize`` and JIT-heat input);
+- :class:`~repro.runtime.graphs.GraphPlan` placements, keyed by graph
+  signature;
 - JIT state: per-specialization heat plus lowered-kernel **sources**
   (:class:`~repro.compiler.lower.LoweredKernel`), rehydratable in a
   fresh process without re-running the pass pipeline;

@@ -10,7 +10,7 @@ negative zeros and sub-byte padding must all agree.  Execution
 statistics are compared as well: every mode is required to count work
 exactly as if blocks had run one at a time.
 
-Nine modes are locked together:
+Eight modes are locked together:
 
 - ``sequential``   — the block-loop interpreter, the semantic reference;
 - ``batched``      — the grid-vectorized executor, forced for every launch;
@@ -31,14 +31,6 @@ Nine modes are locked together:
   measured-cost LPT stream placement, re-derived coalescing groups —
   and replayed; moving every node to a profile-chosen stream must
   change nothing observable.
-- ``adaptive``     — the adaptive runtime: the same throwaway-image
-  profile drives **profile-guided capture** (``capture(profile=...)``:
-  measured-cost placement and stream-count capping decided at
-  instantiate time, overriding the plan's explicit stream hints), and
-  the resulting graph is replayed through an
-  :class:`~repro.runtime.adaptive.AdaptivePolicy`-managed facade with
-  the pool's profiler recording — letting the capture pick everything
-  from measured costs must change nothing observable either.
 - ``plan-roundtrip`` — the cross-process placement-transfer path used
   by sharded serving: the captured graph's :class:`~repro.runtime.
   graphs.GraphPlan` is serialized to versioned JSON, parsed back, and
@@ -49,11 +41,10 @@ Nine modes are locked together:
 - ``warm-store``   — the fleet-warm-boot path used by the persistent
   tuning store: the throwaway-image profile is *published to* and
   *loaded back from* an on-disk :class:`~repro.store.TuningStore`
-  (versioned JSON, checksummed, atomically renamed), the loaded copy
-  drives profile-guided capture exactly as ``adaptive`` does, and the
-  graph is replayed under ``manage(warm=True)`` — a profile surviving
-  the disk round-trip, and the zero-first-swap warm policy, must
-  change nothing observable.
+  (versioned JSON, checksummed, atomically renamed), and the loaded
+  copy rebuilds a fresh capture through ``graph.optimize(loaded)``
+  exactly as ``graph-optimized`` does — a profile surviving the disk
+  round-trip must change nothing observable.
 - ``jit``          — the compiled tier: every launch is lowered through
   the :mod:`repro.compiler.lower` pass pipeline (const-fold the bound
   scalars → unroll the block loop → flatten to straight-line vectorized
@@ -63,18 +54,12 @@ Nine modes are locked together:
   Bit patterns *and* execution statistics must match the sequential
   reference — the compiled kernel is required to count blocks,
   instructions and global traffic exactly as if it had interpreted.
-
-The adaptive mode's swap dynamics (warmup windows, hysteresis,
-atomicity) are exercised separately by ``tests/test_adaptive.py`` —
-one differential execution replays each plan exactly once, so swaps
-cannot fire here by construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.adaptive import AdaptivePolicy
 from repro.runtime.profiling import Profile
 from repro.runtime.streams import StreamPool
 from repro.vm import BatchedExecutor, GlobalMemory, Interpreter, TensorView
@@ -90,7 +75,6 @@ MODES = (
     "stream",
     "graph-replay",
     "graph-optimized",
-    "adaptive",
     "plan-roundtrip",
     "warm-store",
     "jit",
@@ -114,14 +98,13 @@ def _resolve_args(spec, buffers):
     return args
 
 
-def _capture_plan(pool: StreamPool, plan, buffers, profile=None):
+def _capture_plan(pool: StreamPool, plan, buffers):
     """Capture the case's launch plan round-robin across the pool's
     streams.  The one shared entry point for every graph-based mode (and
     the profile-collection pass): plan order and stream assignment must
     stay byte-identical between them, because the profile lookup keys on
-    the resulting graph signature.  ``profile`` switches the capture to
-    profile-guided mode (the adaptive path)."""
-    with pool.capture(profile=profile) as graph:
+    the resulting graph signature."""
+    with pool.capture() as graph:
         for i, (program, spec) in enumerate(plan):
             pool.submit(
                 program,
@@ -195,19 +178,6 @@ def _run_engine(case: GeneratedCase, mode: str):
             optimized.replay()
             pool.synchronize()
         stats = pool.aggregate_stats()
-    elif mode == "adaptive":
-        profile = _collect_profile(case)
-        with StreamPool(memory, num_streams=4) as pool:
-            graph = _capture_plan(pool, plan, buffers, profile=profile)
-            assert len(graph) == len(plan)
-            # Warmup larger than the single replay below: the policy
-            # observes but never swaps mid-case (replaying the plan
-            # twice would double-execute it and break stat parity).
-            managed = AdaptivePolicy(warmup_replays=8, min_gain=0.5).manage(graph)
-            pool.profiler = Profile()
-            managed.replay()
-            pool.synchronize()
-        stats = pool.aggregate_stats()
     elif mode == "warm-store":
         import tempfile
 
@@ -220,13 +190,10 @@ def _run_engine(case: GeneratedCase, mode: str):
             loaded = store.load_profile("diff")
         assert loaded.stamp() == profile.stamp()
         with StreamPool(memory, num_streams=4) as pool:
-            graph = _capture_plan(pool, plan, buffers, profile=loaded)
-            assert len(graph) == len(plan)
-            managed = AdaptivePolicy(warmup_replays=8, min_gain=0.5).manage(
-                graph, warm=True
-            )
-            pool.profiler = Profile()
-            managed.replay()
+            graph = _capture_plan(pool, plan, buffers)
+            optimized = graph.optimize(loaded)
+            assert optimized.num_nodes == len(plan)
+            optimized.replay()
             pool.synchronize()
         stats = pool.aggregate_stats()
     elif mode == "jit":

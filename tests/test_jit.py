@@ -314,9 +314,13 @@ class TestRuntimeTier:
         # under its own engine, not folded into the interpreted site.
         spec = spec_string(specialization_key(
             program, [a, linear.b_addr, linear.s_addr, out]))
-        means = profiler.spec_engine_seconds(spec)
-        assert COMPILED in means
-        assert set(means) - {COMPILED}, "interpreted records vanished"
+        engines = {
+            node.engine
+            for node in profiler.nodes.values()
+            if node.spec == spec and node.calls
+        }
+        assert COMPILED in engines
+        assert engines - {COMPILED}, "interpreted records vanished"
 
     def test_explicit_interpreted_engines_never_promote(self):
         linear, runtime, a = _linear_fixture()
@@ -403,6 +407,37 @@ class TestServingTier:
         assert engine.jit is not None
         assert "jit=on" in repr(engine)
         assert LocalEngine().jit is None
+
+    def test_local_engine_jit_knob_profiles_and_promotes(self):
+        # jit=True turns on profiling, the heat source: without it no
+        # launch would ever clear the threshold.
+        from repro import ops
+        from repro.dtypes.registry import dtype_from_name
+
+        engine = LocalEngine(jit=True)
+        assert engine.profiler is not None
+        engine.runtime.enable_jit(threshold_s=1e-4)
+        weight = np.random.default_rng(0).standard_normal((64, 16))
+        linear = ops.prepare_linear(
+            weight, dtype_from_name("i6"), group_size=32, runtime=engine.runtime
+        )
+        act = np.random.default_rng(1).standard_normal((1, 64))
+        a = engine.upload(linear.act_dtype.quantize(act), linear.act_dtype)
+        out = engine.empty([1, linear.n], linear.act_dtype)
+        args = [a, linear.b_addr, linear.s_addr, out]
+        program = linear.program_for(1)
+        engine.launch(program, args, engine="batched")
+        want = engine.download(out, [1, linear.n], linear.act_dtype).copy()
+        for _ in range(20):
+            engine.launch(program, args)
+            if engine.jit.compiled:
+                break
+        assert engine.jit.compiled == 1, "heat never cleared the threshold"
+        promotions = engine.jit.promotions
+        engine.launch(program, args)
+        assert engine.jit.promotions > promotions  # ran the compiled kernel
+        got = engine.download(out, [1, linear.n], linear.act_dtype)
+        assert np.array_equal(got, want)
 
     def test_simulator_jit_digests_match_and_promote(self):
         from repro.llm.batching import uniform_trace

@@ -132,7 +132,7 @@ class TestFigure12Shapes:
 
     def test_gemma_decode1_magnitude(self):
         """Paper: vLLM 32.6 ms, Tilus u4 14.0 ms — ours must land within
-        ~35% (documented in EXPERIMENTS.md)."""
+        ~35%."""
         v = simulate_cell(GEMMA2_9B, ServingConfig("vllm", float16, L40S), "decode", 1)
         t = simulate_cell(GEMMA2_9B, ServingConfig("tilus", uint4, L40S), "decode", 1)
         assert abs(v.latency_ms - 32.6) / 32.6 < 0.35

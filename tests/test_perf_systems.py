@@ -147,7 +147,8 @@ class TestBaselineShapes:
     def test_headline_ratios(self):
         """Geomean speedups vs each baseline (paper Section 1: 1.75x,
         2.61x, 1.29x, 1.03x).  Ladder's figure-level inversion at BS=16 is
-        prioritized over its exact headline (see EXPERIMENTS.md)."""
+        prioritized over its exact headline (benchmarks/bench_headline.py
+        allows it the widest tolerance)."""
         def geomean(xs):
             return float(np.exp(np.mean(np.log(xs))))
 

@@ -466,6 +466,68 @@ class TestLptPlacement:
 
 
 # ---------------------------------------------------------------------------
+# Profile JSON negative paths
+# ---------------------------------------------------------------------------
+
+
+def _profiled_pair(prefix: str, steps: int = 2):
+    """A two-launch graph over fresh device buffers, replayed once with
+    profiling on; returns (pool, graph, profile).  The pool is still
+    running: the caller shuts it down."""
+    memory, _, pairs = device(2)
+    programs = [work_program(f"{prefix}{i}", steps=steps) for i in range(2)]
+    pool = StreamPool(memory, num_streams=2)
+    with pool.capture() as graph:
+        for program, (a, out) in zip(programs, pairs):
+            pool.submit(program, [a, out], engine="batched")
+    pool.profiler = Profile()
+    graph.replay()
+    pool.synchronize()
+    return pool, graph, pool.profiler
+
+
+class TestProfileJsonNegativePaths:
+    def _real_profile(self):
+        pool, _, profile = _profiled_pair("neg")
+        pool.shutdown()
+        return profile
+
+    def test_unknown_version_raises(self):
+        bad = json.dumps({"version": 99, "nodes": []})
+        with pytest.raises(VMError, match="version"):
+            Profile.from_json(bad)
+
+    def test_truncated_payload_raises(self):
+        text = self._real_profile().to_json()
+        with pytest.raises(VMError, match="truncated or malformed"):
+            Profile.from_json(text[: len(text) // 2])
+
+    def test_non_object_payload_raises(self):
+        with pytest.raises(VMError, match="must be an object"):
+            Profile.from_json("[1, 2, 3]")
+
+    def test_missing_nodes_list_raises(self):
+        with pytest.raises(VMError, match="nodes"):
+            Profile.from_json(json.dumps({"version": 1}))
+
+    def test_malformed_node_record_raises(self):
+        bad = json.dumps({"version": 1, "nodes": [{"scope": "only"}]})
+        with pytest.raises(VMError, match="malformed profile node record"):
+            Profile.from_json(bad)
+
+    def test_signature_mismatch_rejected_by_optimize(self):
+        # A profile recorded from one graph can never describe a graph
+        # of wholly different programs: optimize must refuse it.
+        profile = self._real_profile()
+        pool, graph, _ = _profiled_pair("other", steps=8)
+        try:
+            with pytest.raises(VMError, match="wrong profile"):
+                graph.optimize(profile)
+        finally:
+            pool.shutdown()
+
+
+# ---------------------------------------------------------------------------
 # Integrations: tuner, operator, serving
 # ---------------------------------------------------------------------------
 
@@ -590,6 +652,31 @@ class TestOperatorReoptimize:
             assert linear.reoptimize() == 1
             got = linear(a)  # replays the optimized graph, rebound
             assert np.array_equal(got, want)
+        finally:
+            linear.runtime.stream_pool().shutdown()
+
+    def test_reoptimize_tolerates_graphs_the_profile_never_saw(self):
+        # Two row counts captured before profiling, traffic recorded for
+        # only one: reoptimize must optimize the matched graph from the
+        # profile and uniform-re-balance the other — not abort mid-loop
+        # and leave self._graphs half-swapped.
+        from repro import ops
+        from repro.dtypes import int6
+        from repro.kernels import MatmulConfig
+
+        rng = np.random.default_rng(10)
+        linear = ops.prepare_linear(
+            rng.standard_normal((64, 16)), int6, group_size=32,
+            config=MatmulConfig(16, 8, 16, split_k=2), streams=2,
+        )
+        try:
+            a4, a8 = rng.standard_normal((4, 64)), rng.standard_normal((8, 64))
+            want4, want8 = linear(a4), linear(a8)  # both graphs captured
+            linear.runtime.enable_profiling()
+            linear(a4)  # profile records m=4 only
+            assert linear.reoptimize() == 2
+            assert np.array_equal(linear(a4), want4)
+            assert np.array_equal(linear(a8), want8)
         finally:
             linear.runtime.stream_pool().shutdown()
 

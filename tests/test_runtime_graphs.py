@@ -1,7 +1,8 @@
 """The execution-graph subsystem: capture semantics, frozen scheduling
 and coalescing, replay bit-exactness against eager stream submission and
 serial replay, pointer rebinding with specialization-key validation, and
-error propagation.
+error propagation, and the pure placement core behind
+``graph.optimize``.
 
 The load-bearing property is the last acceptance criterion of the
 subsystem: replay drives the per-stream engines *directly* — a replay
@@ -11,13 +12,20 @@ blow up, because it never calls them.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dtypes import float16
 from repro.errors import VMError
 from repro.lang import ProgramBuilder, pointer
 from repro.layout import spatial
-from repro.runtime import Runtime, StreamPool
+from repro.runtime import Profile, Runtime, StreamPool
 from repro.runtime import streams as streams_mod
+from repro.runtime.graphs import (
+    estimated_makespan,
+    lpt_placement,
+    round_robin_placement,
+)
 from repro.vm import GlobalMemory, Interpreter
 
 ROWS, COLS = 16, 8
@@ -523,3 +531,87 @@ class TestGraphPlan:
                 graph.apply_plan(eng)
         finally:
             pool.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# Placement core (pure functions behind ExecutionGraph.optimize)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def hazard_dags(draw):
+    """(num_streams, per-node costs, deps) for a random DAG whose edges
+    point only at earlier nodes, like captured hazard edges."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    costs = {
+        i: draw(
+            st.floats(
+                min_value=1e-3, max_value=100.0,
+                allow_nan=False, allow_infinity=False,
+            )
+        )
+        for i in range(n)
+    }
+    deps = {
+        i: tuple(
+            sorted(
+                draw(st.sets(st.integers(min_value=0, max_value=i - 1), max_size=3))
+            )
+        )
+        if i
+        else ()
+        for i in range(n)
+    }
+    num_streams = draw(st.integers(min_value=1, max_value=8))
+    return num_streams, costs, deps
+
+
+class TestPlacementProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(hazard_dags())
+    def test_lpt_never_estimated_worse_than_round_robin(self, dag):
+        num_streams, costs, deps = dag
+        placement = lpt_placement(num_streams, costs, deps)
+        rr = round_robin_placement(costs, num_streams)
+        assert set(placement) == set(costs)
+        assert all(0 <= s < num_streams for s in placement.values())
+        assert estimated_makespan(placement, costs, deps) <= (
+            estimated_makespan(rr, costs, deps) + 1e-9
+        )
+
+    def test_lpt_keeps_round_robin_when_that_estimates_shorter(self):
+        # Independent nodes costing 2,3,2,3,2 on 2 streams: LPT loads
+        # 3+2+2 against 3+2 (makespan 7) where round-robin splits 2+2+2
+        # against 3+3 (makespan 6).
+        costs = {0: 2.0, 1: 3.0, 2: 2.0, 3: 3.0, 4: 2.0}
+        deps = {i: () for i in costs}
+        placement = lpt_placement(2, costs, deps)
+        assert placement == round_robin_placement(costs, 2)
+        assert estimated_makespan(placement, costs, deps) == pytest.approx(6.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hazard_dags())
+    def test_placement_deterministic_across_profile_round_trip(self, dag):
+        num_streams, costs, deps = dag
+        profile = Profile()
+        for i, cost in costs.items():
+            profile.record("graph:prop", i, f"p{i}", f"s{i}", "batched", 0, cost)
+        loaded = Profile.from_json(profile.to_json())
+        direct = {
+            i: rec.mean_wall_s for i, rec in profile.graph_nodes("graph:prop").items()
+        }
+        reloaded = {
+            i: rec.mean_wall_s for i, rec in loaded.graph_nodes("graph:prop").items()
+        }
+        assert direct == reloaded  # JSON round-trips floats exactly
+        assert lpt_placement(num_streams, direct, deps) == lpt_placement(
+            num_streams, reloaded, deps
+        )
+
+    def test_lpt_respects_dependency_order(self):
+        # A chain has no parallelism: every node must be schedulable and
+        # the makespan equals the cost sum on any stream count.
+        costs = {0: 3.0, 1: 1.0, 2: 2.0}
+        deps = {0: (), 1: (0,), 2: (1,)}
+        placement = lpt_placement(4, costs, deps)
+        assert estimated_makespan(placement, costs, deps) == pytest.approx(6.0)

@@ -156,7 +156,7 @@ class TestWorkerSpec:
         spec = WorkerSpec(
             model="Gemma-2-9B", system="ladder", weight_dtype="u4",
             linear_k=128, linear_n=32, weight_seed=9, max_batch=6,
-            adaptive=True, profile=True,
+            profile=True,
         )
         assert WorkerSpec.from_json(spec.to_json()) == spec
 
@@ -170,6 +170,12 @@ class TestWorkerSpec:
         with pytest.raises(VMError, match="malformed worker spec"):
             WorkerSpec.from_json(json.dumps({"kind": "worker-spec", "version": 1,
                                              "no_such_field": 1}))
+        # An old spec naming a since-removed knob is refused, not
+        # half-applied.
+        old = json.loads(WorkerSpec().to_json())
+        old["adaptive"] = True
+        with pytest.raises(VMError, match="malformed worker spec"):
+            WorkerSpec.from_json(json.dumps(old))
 
     def test_unknown_model_rejected(self):
         with pytest.raises(VMError, match="unknown model"):

@@ -660,78 +660,115 @@ class TestEngineDegradation:
         got.run(runtime.memory, args)
         kernel.run(runtime.memory, args)  # reference lowered pre-corruption
 
-    def test_simulator_warm_boot_zero_swaps_bit_exact(self, tmp_path):
+    @staticmethod
+    def _pin_plans_to_stream0(store, scope, signatures) -> int:
+        """Rewrite the stored plan of every given graph signature with all
+        nodes on stream 0 — a placement no fresh multi-request capture
+        picks — so a warm boot's graphs show whether the stored plan was
+        applied.  Returns how many plans spread over several streams."""
+        spread = 0
+        for signature in signatures:
+            plan = store.load_plan(scope, signature)
+            spread += len({node["stream"] for node in plan.nodes}) > 1
+            for node in plan.nodes:
+                node["stream"] = 0
+            store.publish_plan(scope, signature, plan)
+        return spread
+
+    def test_simulator_warm_boot_applies_stored_plan_bit_exact(self, tmp_path):
         from repro.llm.batching import uniform_trace
         from repro.serving import WorkerSpec
 
         spec = WorkerSpec(
             linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
-            max_batch=4, num_streams=4, adaptive=True,
-            store_path=str(tmp_path),
+            max_batch=4, num_streams=4, store_path=str(tmp_path),
         )
-        # output_tokens must clear the policy's warmup window (8
-        # replays) or the cold run never reaches its first swap.
-        trace = uniform_trace(8, 0.001, output_tokens=16)
+        trace = uniform_trace(8, 0.001, output_tokens=4)
         cold_sim = spec.build_simulator()
         cold = cold_sim.run(trace)
-        assert cold.auto_reoptimizations >= 1  # paid the warmup swap
-        assert cold_sim.publish_store()["profile"] is True
-        warm = spec.build_simulator().run(trace)
-        assert warm.auto_reoptimizations == 0  # booted converged
+        summary = cold_sim.publish_store()
+        assert summary["profile"] is True
+        assert summary["plans"] == len(cold_sim._graphs) >= 1
+        signatures = [g.signature for g in cold_sim._graphs.values()]
+        store = TuningStore(str(tmp_path))
+        assert self._pin_plans_to_stream0(store, spec.store_scope(), signatures) >= 1
+        warm_sim = spec.build_simulator()
+        warm = warm_sim.run(trace)
+        assert sorted(warm_sim._graphs) == sorted(cold_sim._graphs)
+        for graph in warm_sim._graphs.values():
+            assert graph.stream_indices == (0,)  # the stored plan, applied
+        assert warm_sim.metrics()["store.hits"] >= len(signatures)
         assert {r.request.rid: r.output_digest for r in warm.results} == {
             r.request.rid: r.output_digest for r in cold.results
         }
 
     def test_worker_serves_bit_exact_from_poisoned_store(self, tmp_path):
         """The acceptance property: a spawned worker whose store holds
-        one corrupt entry per kind it consults still boots, serves, and
+        one corrupt entry per kind it consults (the JIT state and the
+        plan of every decode graph) still boots, serves cold, and
         matches the oracle digest-for-digest."""
         from repro.serving import Router, WorkerPool, WorkerSpec, poisson_trace
 
         spec = WorkerSpec(
             linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
-            max_batch=4, num_streams=2, adaptive=True, jit=True,
+            max_batch=4, num_streams=2, jit=True,
             jit_threshold_s=0.0, store_path=str(tmp_path),
         )
+        trace = poisson_trace(4, rate_rps=100.0, prompt_tokens=32, output_tokens=2)
+        oracle_sim = WorkerSpec(
+            linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
+            max_batch=4, num_streams=2, jit=True, jit_threshold_s=0.0,
+        ).build_simulator()
+        oracle = oracle_sim.run(trace)
         scope = spec.store_scope()
         store = TuningStore(str(tmp_path))
-        for kind in ("profile", "jit"):
-            with open(store.entry_path(kind, scope), "w", encoding="utf-8") as fh:
+        keys = [("jit", scope)] + [
+            ("plan", f"{scope}:{graph.signature}")
+            for graph in oracle_sim._graphs.values()
+        ]
+        assert len(keys) >= 2
+        for kind, key in keys:
+            with open(store.entry_path(kind, key), "w", encoding="utf-8") as fh:
                 fh.write('{"version": 1, "kind": "' + kind + '", "trunc')
-        trace = poisson_trace(4, rate_rps=100.0, prompt_tokens=32, output_tokens=2)
         with WorkerPool(spec, 1) as pool:
             result = Router(pool, chunk_size=4).serve(trace, timeout_s=180.0)
-        oracle = WorkerSpec(
-            linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
-            max_batch=4, num_streams=2, adaptive=True, jit=True,
-            jit_threshold_s=0.0,
-        ).build_simulator().run(trace)
+            metrics = pool.pull_trace(0)["metrics"]
         assert result.digests() == {
             r.request.rid: r.output_digest for r in oracle.results
         }
+        # Every poisoned entry was consulted and refused; none was used.
+        assert metrics["store.misses"] >= len(keys)
+        assert metrics["store.hits"] == 0
 
-    def test_respawned_worker_boots_converged(self, tmp_path):
+    def test_respawned_worker_boots_from_stored_plan(self, tmp_path):
         """Generation 1 serves cold and publishes on shutdown; a fresh
-        pool from the same spec boots warm: zero adaptive swaps, same
-        digests — warmup paid once per fleet, not once per process."""
+        pool from the same spec boots warm: its decode graphs take the
+        stored placement, and its digests match generation 1's."""
         from repro.serving import Router, WorkerPool, WorkerSpec, poisson_trace
 
         spec = WorkerSpec(
             linear_k=64, linear_n=16, linear_dtype="i6", linear_group=32,
-            max_batch=4, num_streams=4, adaptive=True,
-            store_path=str(tmp_path),
+            max_batch=4, num_streams=4, store_path=str(tmp_path),
         )
         trace = poisson_trace(
             8, rate_rps=500.0, prompt_tokens=64, output_tokens=16
         )
         with WorkerPool(spec, 1) as pool:
             gen1 = Router(pool, chunk_size=8).serve(trace, timeout_s=180.0)
-        assert TuningStore(str(tmp_path)).entry_count() >= 1  # shutdown published
+            gen1_plans = pool.pull_state(0)["plans"]
+        store = TuningStore(str(tmp_path))
+        scope = spec.store_scope()
+        signatures = [json.loads(text)["signature"] for text in gen1_plans.values()]
+        # Shutdown published every decode graph's plan.
+        assert all(store.load_plan(scope, sig) is not None for sig in signatures)
+        assert self._pin_plans_to_stream0(store, scope, signatures) >= 1
         with WorkerPool(spec, 1) as pool:
             gen2 = Router(pool, chunk_size=8).serve(trace, timeout_s=180.0)
+            gen2_plans = pool.pull_state(0)["plans"]
         assert gen2.digests() == gen1.digests()
-        assert gen1.metrics()["router.auto_reoptimizations"] >= 1
-        assert gen2.metrics()["router.auto_reoptimizations"] == 0
+        assert sorted(gen2_plans) == sorted(gen1_plans)
+        for text in gen2_plans.values():
+            assert {node["stream"] for node in json.loads(text)["nodes"]} == {0}
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,13 @@ tensor-core tiles) — or a full kernel-template instantiation
 (software-pipelined matmul, split-k partial/reduce pair) — executed by
 the sequential interpreter, the grid-vectorized batched executor, the
 multi-stream runtime, the execution-graph capture-and-replay path, the
-profile-guided optimized-graph path (measured-cost LPT placement), and
-the adaptive runtime's profile-guided capture under policy management,
-and the JIT compiled tier (pass-pipeline lowering to straight-line
+profile-guided optimized-graph path (measured-cost LPT placement), its
+store round-trip, the cross-process plan transfer, and the JIT compiled
+tier (pass-pipeline lowering to straight-line
 compiled kernels, with batched fallback on bailout), and compared
 **bit-for-bit**, plus execution-stat parity.  This is the safety net
 behind the batched executor, the stream subsystem, the graph subsystem,
-the PGO pass, the adaptive runtime, the compiled tier, and any future
+the PGO pass, the tuning store, the compiled tier, and any future
 refactor of any engine.
 """
 
@@ -48,7 +48,6 @@ BASELINE_MODES = {
     "stream",
     "graph-replay",
     "graph-optimized",
-    "adaptive",
     "plan-roundtrip",
     "warm-store",
     "jit",
